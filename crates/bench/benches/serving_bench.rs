@@ -9,10 +9,13 @@
 //! every reference signature on every comparison (the serving path before
 //! the index existed).
 
+use binary::elf::ElfFile;
+use binary::strings::strings_blob;
+use binary::symbols::symbols_blob;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use fhc::artifact::ArtifactDelta;
 use fhc::backend::{round_robin_partition, BackendConfig};
-use fhc::features::{PreparedSampleFeatures, SampleFeatures};
+use fhc::features::{PreparedSampleFeatures, SampleFeatures, STRINGS_MIN_LENGTH};
 use fhc::pipeline::FuzzyHashClassifier;
 use fhc::serving::Prediction;
 use fhc::shardnet::wire::{self, Frame};
@@ -25,6 +28,7 @@ use fhc::threshold::{apply_threshold, UNKNOWN_LABEL};
 use fhc_bench::{bench_config, bench_corpus};
 use hpcutil::{par_map_indexed, ParallelConfig};
 use mlcore::model::Model;
+use ssdeep::{fuzzy_hash_bytes, FuzzyHash};
 use std::hint::black_box;
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -248,6 +252,40 @@ fn bench_classify_batch(c: &mut Criterion) {
     });
     group.bench_function("classify_batch_prehashed", |b| {
         b.iter(|| trained.classify_features_batch(black_box(&features)))
+    });
+    group.finish();
+
+    // Feature extraction layer by layer, serially over the same batch: the
+    // file view's CTPH, the strings view (printable-run scan + CTPH), the
+    // symbols view (ELF parse + symbol blob + CTPH), and hash preparation.
+    // Their sum is the extraction share of `classify_batch_from_bytes`.
+    let mut group = c.benchmark_group("serving/extract");
+    group.sample_size(10);
+    group.throughput(Throughput::Elements(batch.len() as u64));
+    let each = |f: &dyn Fn(&[u8]) -> Option<FuzzyHash>| -> Vec<Option<FuzzyHash>> {
+        batch.iter().map(|(_, bytes)| f(black_box(bytes))).collect()
+    };
+    group.bench_function("file", |b| {
+        b.iter(|| each(&|bytes| Some(fuzzy_hash_bytes(bytes))))
+    });
+    group.bench_function("strings", |b| {
+        b.iter(|| each(&|bytes| Some(fuzzy_hash_bytes(&strings_blob(bytes, STRINGS_MIN_LENGTH)))))
+    });
+    group.bench_function("symbols", |b| {
+        b.iter(|| {
+            each(&|bytes| {
+                let blob = symbols_blob(&ElfFile::parse(bytes).ok()?);
+                (!blob.is_empty()).then(|| fuzzy_hash_bytes(&blob))
+            })
+        })
+    });
+    group.bench_function("prepare", |b| {
+        b.iter(|| {
+            black_box(&features)
+                .iter()
+                .map(PreparedSampleFeatures::prepare)
+                .collect::<Vec<_>>()
+        })
     });
     group.finish();
 

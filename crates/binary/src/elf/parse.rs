@@ -23,9 +23,23 @@ impl ElfFile {
     pub fn parse(data: &[u8]) -> Result<Self, BinaryError> {
         let header = ElfHeader::parse(data)?;
 
-        let mut sections = Vec::with_capacity(header.e_shnum as usize);
-        for i in 0..header.e_shnum as usize {
-            let off = header.e_shoff as usize + i * SHDR_SIZE;
+        // Bound the table by the input before allocating for it, and keep
+        // every offset checked: `e_shoff` is an untrusted 64-bit field.
+        let shnum = usize::from(header.e_shnum);
+        let table_len = shnum * SHDR_SIZE;
+        if table_len > data.len() {
+            return Err(BinaryError::Truncated {
+                context: "section header table",
+                needed: table_len,
+                available: data.len(),
+            });
+        }
+        let mut sections = Vec::with_capacity(shnum);
+        for i in 0..shnum {
+            let off = usize::try_from(header.e_shoff)
+                .ok()
+                .and_then(|shoff| shoff.checked_add(i * SHDR_SIZE))
+                .ok_or(BinaryError::SectionOutOfBounds { index: i })?;
             sections.push(Section::parse(data, off, i)?);
         }
 
@@ -179,6 +193,40 @@ mod tests {
         assert!(ElfFile::parse(&bytes[..40]).is_err());
         // Cutting into the section header table must also fail cleanly.
         assert!(ElfFile::parse(&bytes[..bytes.len() - 10]).is_err());
+    }
+
+    /// A section-header offset near `u64::MAX` used to wrap the bounds
+    /// check and index far past the input.
+    #[test]
+    fn rejects_section_header_offset_near_u64_max() {
+        let bytes = sample_elf();
+        for shoff in [u64::MAX - 63, u64::MAX] {
+            let mut patched = bytes.clone();
+            patched[40..48].copy_from_slice(&shoff.to_le_bytes());
+            let err = ElfFile::parse(&patched).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    BinaryError::Truncated { .. } | BinaryError::SectionOutOfBounds { .. }
+                ),
+                "e_shoff {shoff:#x}: {err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn rejects_section_count_larger_than_the_input() {
+        let mut bytes = sample_elf();
+        bytes[60..62].copy_from_slice(&u16::MAX.to_le_bytes());
+        let err = ElfFile::parse(&bytes).unwrap_err();
+        assert_eq!(
+            err,
+            BinaryError::Truncated {
+                context: "section header table",
+                needed: usize::from(u16::MAX) * SHDR_SIZE,
+                available: bytes.len(),
+            }
+        );
     }
 
     #[test]

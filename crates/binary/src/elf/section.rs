@@ -36,10 +36,13 @@ impl Section {
     /// Parse the section header at `shdr_offset` and load its contents from
     /// `file`. `index` is used for error reporting.
     pub fn parse(file: &[u8], shdr_offset: usize, index: usize) -> Result<Self, BinaryError> {
-        if file.len() < shdr_offset + SHDR_SIZE {
+        let needed = shdr_offset
+            .checked_add(SHDR_SIZE)
+            .ok_or(BinaryError::SectionOutOfBounds { index })?;
+        if file.len() < needed {
             return Err(BinaryError::Truncated {
                 context: "section header",
-                needed: shdr_offset + SHDR_SIZE,
+                needed,
                 available: file.len(),
             });
         }
@@ -185,6 +188,17 @@ mod tests {
     fn truncated_header_rejected() {
         let err = Section::parse(&[0u8; 10], 0, 0).unwrap_err();
         assert!(matches!(err, BinaryError::Truncated { .. }));
+    }
+
+    #[test]
+    fn header_offset_overflow_rejected() {
+        let file = [0u8; SHDR_SIZE];
+        for offset in [usize::MAX - 63, usize::MAX] {
+            assert_eq!(
+                Section::parse(&file, offset, 3).unwrap_err(),
+                BinaryError::SectionOutOfBounds { index: 3 }
+            );
+        }
     }
 
     #[test]

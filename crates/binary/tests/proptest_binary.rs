@@ -137,18 +137,46 @@ fn extracted_strings_are_printable_substrings() {
     }
 }
 
-/// The strings blob decomposes back into exactly the extracted runs.
+/// The strings blob decomposes back into exactly the extracted runs: the
+/// bitmask scan in `strings_blob` is byte-identical to joining
+/// `extract_strings` with newlines, for every minimum length the scan
+/// treats differently (0 acts as 1; 64 is a whole mask block). Inputs mix
+/// uniform random bytes, 7-bit bytes (about three quarters printable),
+/// printable text with sparse NULs (runs that span several 64-byte mask
+/// blocks) and the bytes at the edges of the printable range, at lengths
+/// around every block multiple.
 #[test]
 fn blob_matches_runs() {
-    let mut g = Gen(14);
-    for _ in 0..48 {
-        let data = g.bytes(0, 2048);
-        let runs = extract_strings(&data, 4);
-        let blob = strings_blob(&data, 4);
-        let joined: Vec<&str> = std::str::from_utf8(&blob).unwrap().lines().collect();
-        assert_eq!(joined.len(), runs.len());
-        for (a, b) in joined.iter().zip(runs.iter()) {
-            assert_eq!(*a, b.as_str());
+    let mut g = Gen(16);
+    let joined = |data: &[u8], min_len: usize| -> Vec<u8> {
+        extract_strings(data, min_len)
+            .iter()
+            .flat_map(|run| run.bytes().chain([b'\n']))
+            .collect()
+    };
+    for case in 0..192 {
+        let len = match case % 3 {
+            0 => g.range(0, 1_000),
+            _ => (64 * g.range(0, 12) + g.range(0, 3)).saturating_sub(1),
+        };
+        let data: Vec<u8> = (0..len)
+            .map(|_| {
+                let x = g.next();
+                match case % 4 {
+                    0 => x as u8,
+                    1 => (x & 0x7F) as u8,
+                    2 if x.is_multiple_of(97) => 0,
+                    2 => b' ' + (x % 95) as u8,
+                    _ => [b'\t', b'\n', 0x7E, 0x7F, 0x1F, 0x20, 0x80, b'a'][(x % 8) as usize],
+                }
+            })
+            .collect();
+        for min_len in [0, 1, 4, 64] {
+            assert_eq!(
+                strings_blob(&data, min_len),
+                joined(&data, min_len),
+                "case {case}, len {len}, min_len {min_len}"
+            );
         }
     }
 }

@@ -14,7 +14,8 @@
 //! Rules:
 //! - `no_panic` (R1): no `.unwrap()` / `.expect(..)` / `panic!` /
 //!   `unreachable!` in non-test daemon code — convert to typed
-//!   `MuxError`/`NetError` returns.
+//!   `MuxError`/`NetError` returns. Also applied to the bytes-in crates
+//!   (`ssdeep`, `binary`), which parse and hash untrusted executables.
 //! - `socket_deadlines` (R2): a function that accepts a `TcpStream` /
 //!   `UnixStream` (calls `.accept()` or `.incoming()`) must call **both**
 //!   `set_read_timeout` and `set_write_timeout`.
@@ -152,8 +153,11 @@ pub fn rules_for_path(path: &str) -> RuleSet {
     // Codec symmetry additionally covers all of hpcutil (home of the
     // ByteWriter/ByteReader codec layer the wire formats are built on).
     let codec = daemon_core || p.contains("crates/hpcutil/src/");
+    // No-panic additionally covers the bytes-in crates: ELF parsing,
+    // strings extraction and fuzzy hashing run on untrusted executables.
+    let bytes_in = p.contains("crates/ssdeep/src/") || p.contains("crates/binary/src/");
     RuleSet {
-        no_panic: daemon_core,
+        no_panic: daemon_core || bytes_in,
         socket_deadlines: daemon_core,
         bounded_channels: daemon_core,
         join_or_detach: daemon_core,
@@ -1737,5 +1741,25 @@ mod tests {
         let r = rules_for_path("crates/fhc/src/bin/fhc_shardd.rs");
         assert!(r.no_panic);
         assert!(rules_for_path("crates/fhc/src/serving.rs").is_empty());
+    }
+
+    #[test]
+    fn bytes_in_crates_get_no_panic_only() {
+        for path in [
+            "crates/ssdeep/src/generate.rs",
+            "crates/binary/src/elf/parse.rs",
+        ] {
+            let r = rules_for_path(path);
+            assert_eq!(
+                r,
+                RuleSet {
+                    no_panic: true,
+                    ..RuleSet::default()
+                },
+                "{path}"
+            );
+        }
+        assert!(rules_for_path("crates/ssdeep/tests/proptest_ssdeep.rs").is_empty());
+        assert!(rules_for_path("crates/binary/tests/proptest_binary.rs").is_empty());
     }
 }

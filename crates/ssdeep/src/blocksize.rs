@@ -4,10 +4,14 @@
 //! (64) characters regardless of input size by scaling the *block size*: a
 //! chunk boundary is emitted when the rolling hash is congruent to
 //! `blocksize - 1 (mod blocksize)`, so doubling the block size roughly halves
-//! the number of chunks. The generator starts from an estimate derived from
-//! the input length and, if the resulting signature is too short, halves the
-//! block size and retries (mirroring the reference implementation, which
-//! instead starts small and doubles — the fixed point reached is the same).
+//! the number of chunks. The chosen block size is the largest `3 * 2^k` at
+//! or below an estimate derived from the input length whose primary
+//! signature still reaches half the target length (the fixed point of the
+//! reference implementation, which starts small and doubles). Because every
+//! candidate is `3 * 2^k`, the generator can chunk several levels in a
+//! single walk over the input: it builds the signatures of the estimate and
+//! the level below it together and picks between them, walking again only
+//! when both come out short.
 
 /// The smallest block size SSDeep will use.
 pub const MIN_BLOCKSIZE: u64 = 3;
@@ -29,14 +33,18 @@ pub fn blocksize_at(index: u32) -> u64 {
 /// len`, i.e. the block size at which the expected signature length first
 /// drops to at most 64 characters.
 pub fn initial_blocksize(len: usize) -> u64 {
+    blocksize_at(initial_level(len))
+}
+
+/// The doubling index of [`initial_blocksize`]: `initial_blocksize(len) ==
+/// blocksize_at(initial_level(len))`.
+pub(crate) fn initial_level(len: usize) -> u32 {
     let len = len as u64;
-    let mut bs = MIN_BLOCKSIZE;
-    let mut iterations = 0;
-    while bs * (SPAM_SUM_LENGTH as u64) < len && iterations < NUM_BLOCKHASHES {
-        bs *= 2;
-        iterations += 1;
+    let mut level = 0;
+    while blocksize_at(level) * (SPAM_SUM_LENGTH as u64) < len && level < NUM_BLOCKHASHES {
+        level += 1;
     }
-    bs
+    level
 }
 
 /// Whether two block sizes are close enough for their signatures to be
@@ -72,6 +80,14 @@ mod tests {
         let bs = initial_blocksize(1 << 20);
         assert!(bs * 64 >= 1 << 20);
         assert!(bs / 2 * 64 < 1 << 20);
+    }
+
+    #[test]
+    fn initial_level_indexes_initial_blocksize() {
+        for len in [0usize, 192, 193, 384, 385, 1 << 20, usize::MAX] {
+            assert_eq!(blocksize_at(initial_level(len)), initial_blocksize(len));
+        }
+        assert_eq!(initial_level(usize::MAX), NUM_BLOCKHASHES);
     }
 
     #[test]

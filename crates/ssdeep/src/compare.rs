@@ -31,52 +31,33 @@ pub const MIN_COMMON_SUBSTRING: usize = 7;
 /// zero-padding in executables) and carry little identity information.
 ///
 /// Returns the input unchanged (borrowed, no allocation) when no run is
-/// collapsed — the common case on the scoring hot path. The output is built
-/// as bytes and converted once: the old per-byte `push(b as char)` loop
-/// reinterpreted each byte as a Unicode scalar, so non-ASCII input
-/// round-tripped wrongly (each byte `>= 0x80` became a two-byte char).
+/// collapsed — the common case on the scoring hot path. Otherwise the
+/// output is rebuilt char by char, so non-ASCII input round-trips intact.
 pub fn eliminate_long_runs(sig: &str) -> Cow<'_, str> {
     let bytes = sig.as_bytes();
-    // Scan for the first byte that extends a run past three.
-    let mut run_len = 0usize;
-    let mut prev = None;
-    let mut first_excess = None;
-    for (i, &b) in bytes.iter().enumerate() {
-        if Some(b) == prev {
-            run_len += 1;
-            if run_len > 3 {
-                first_excess = Some(i);
-                break;
-            }
-        } else {
-            prev = Some(b);
-            run_len = 1;
-        }
-    }
-    let Some(start) = first_excess else {
+    if !bytes.windows(4).any(|w| w[1..].iter().all(|&b| b == w[0])) {
         return Cow::Borrowed(sig);
-    };
-    // Copy the clean prefix, then keep filtering from the overflow point.
-    let mut out = Vec::with_capacity(bytes.len() - 1);
-    out.extend_from_slice(&bytes[..start]);
-    let mut run_len = 4usize; // bytes[start] is the 4th of its run: dropped
-    let mut run_byte = bytes[start];
-    for &b in &bytes[start + 1..] {
-        if b == run_byte {
+    }
+    // Rebuild char by char. Only ASCII runs ever collapse: identical lead
+    // bytes cannot be adjacent in valid UTF-8 (a lead is followed by
+    // continuations), and a char carries at most three identical
+    // continuation bytes, which the next char's lead terminates. So a
+    // non-ASCII char never extends a run and is always kept whole.
+    let mut out = String::with_capacity(bytes.len() - 1);
+    let mut run_len = 0usize;
+    let mut run_char = None;
+    for c in sig.chars() {
+        if c.is_ascii() && run_char == Some(c) {
             run_len += 1;
         } else {
-            run_byte = b;
+            run_char = Some(c);
             run_len = 1;
         }
         if run_len <= 3 {
-            out.push(b);
+            out.push(c);
         }
     }
-    // Only whole bytes of a >3-run are dropped, and in valid UTF-8 such a
-    // run is always ASCII: identical lead bytes cannot be adjacent (a lead
-    // is followed by continuations), and a char carries at most three
-    // identical continuation bytes, which the next char's lead terminates.
-    Cow::Owned(String::from_utf8(out).expect("collapsing ASCII runs preserves UTF-8"))
+    Cow::Owned(out)
 }
 
 /// Pack one [`MIN_COMMON_SUBSTRING`]-byte window into a `u64` key (base64

@@ -7,7 +7,7 @@
 //! block sizes differ by a factor of two to still be compared.
 
 use crate::base64;
-use crate::blocksize::{comparable, initial_blocksize, MIN_BLOCKSIZE};
+use crate::blocksize::{blocksize_at, comparable, initial_level};
 use crate::error::ParseError;
 use crate::fnv::PartialHash;
 use crate::rolling_hash::RollingHash;
@@ -89,48 +89,154 @@ impl FromStr for FuzzyHash {
     }
 }
 
-/// One pass of the CTPH chunker at a fixed block size.
-///
-/// Returns `(sig1, sig2)` where `sig1` uses `block_size` and `sig2` uses
-/// `2 * block_size` as the boundary trigger.
-fn chunk_signatures(data: &[u8], block_size: u64) -> (String, String) {
-    let mut roll = RollingHash::new();
-    let mut h1 = PartialHash::new();
-    let mut h2 = PartialHash::new();
-    let mut sig1 = String::with_capacity(SPAM_SUM_LENGTH);
-    let mut sig2 = String::with_capacity(SPAM_SUM_LENGTH / 2);
-    let double = block_size * 2;
+/// A signature under construction: one base64 character per finished
+/// chunk, at most `CAP`.
+struct Sig<const CAP: usize> {
+    chars: [u8; CAP],
+    len: usize,
+}
 
-    for &byte in data {
-        let r = u64::from(roll.update(byte));
-        h1.update(byte);
-        h2.update(byte);
-
-        if r % block_size == block_size - 1 && sig1.len() < SPAM_SUM_LENGTH - 1 {
-            sig1.push(base64::encode(h1.b64_index()));
-            h1 = PartialHash::new();
-        }
-        if r % double == double - 1 && sig2.len() < SPAM_SUM_LENGTH / 2 - 1 {
-            sig2.push(base64::encode(h2.b64_index()));
-            h2 = PartialHash::new();
+impl<const CAP: usize> Sig<CAP> {
+    fn new() -> Self {
+        Self {
+            chars: [0; CAP],
+            len: 0,
         }
     }
 
+    fn push(&mut self, chunk: PartialHash) {
+        self.chars[self.len] = base64::B64[chunk.b64_index()];
+        self.len += 1;
+    }
+
+    /// A chunk boundary: emit the chunk hashed so far in `chunk` and start
+    /// the next one — unless only the tail character's slot is left, in
+    /// which case the chunk keeps growing to the end of the input.
+    #[inline]
+    fn boundary(&mut self, chunk: &mut PartialHash) {
+        if self.len < CAP - 1 {
+            self.push(*chunk);
+            *chunk = PartialHash::new();
+        }
+    }
+
+    fn into_string(self) -> String {
+        self.chars[..self.len]
+            .iter()
+            .map(|&c| char::from(c))
+            .collect()
+    }
+}
+
+/// The two signatures of one block-size level.
+struct LevelSigs {
+    sig1: Sig<SPAM_SUM_LENGTH>,
+    sig2: Sig<{ SPAM_SUM_LENGTH / 2 }>,
+}
+
+impl LevelSigs {
+    fn new() -> Self {
+        Self {
+            sig1: Sig::new(),
+            sig2: Sig::new(),
+        }
+    }
+
+    fn into_hash(self, level: u32) -> FuzzyHash {
+        FuzzyHash {
+            block_size: blocksize_at(level),
+            sig1: self.sig1.into_string(),
+            sig2: self.sig2.into_string(),
+        }
+    }
+}
+
+/// The multiplicative inverse of 3 modulo `2^64`.
+const INV3: u64 = 0xAAAA_AAAA_AAAA_AAAB;
+
+/// The `limit` [`triggers`] compares against at `level`.
+fn trigger_limit(level: u32) -> u64 {
+    u64::MAX / blocksize_at(level)
+}
+
+/// Whether rolling value `r` ends a chunk at block size `bs = 3 * 2^level`,
+/// i.e. `r % bs == bs - 1`, without a division.
+///
+/// That holds exactly when `m = r + 1` is a multiple of `bs`. For an odd
+/// `d` with inverse `d'` modulo `2^64`, `m` is a multiple of `d * 2^k`
+/// exactly when `m * d'` rotated right by `k` is at most `u64::MAX /
+/// (d * 2^k)` (Granlund and Montgomery's divisibility test; *Hacker's
+/// Delight* 10-17): a set bit among the low `k` lands in the top `k` bits
+/// and exceeds the limit, and what remains is the odd-divisor test. With
+/// `limit` from [`trigger_limit`] this is one multiply, one rotate and one
+/// compare — a single condition the compiler cannot split into the two
+/// data-dependent branches `m % 3 == 0 && m % 2^k == 0` would become.
+#[inline]
+fn triggers(r: u32, level: u32, limit: u64) -> bool {
+    (u64::from(r) + 1).wrapping_mul(INV3).rotate_right(level) <= limit
+}
+
+/// Chunk `data` at block-size levels `low` and `low + 1` in one walk.
+///
+/// Every byte pays the cheapest boundary test, for `sig1` at `low`, which
+/// fires about once per `3 * 2^low` bytes. Behind it, the count of `r`'s
+/// trailing ones (the trailing zeros of `r + 1`) says which of the coarser
+/// triggers — `sig2` at `low`, `sig1` at `low + 1`, `sig2` at `low + 1` —
+/// fire as well.
+fn walk_pair(data: &[u8], low: u32) -> [LevelSigs; 2] {
+    let mut roll = RollingHash::new();
+    // Chunk hashes of sig1/sig2 at `low` and at `low + 1`; each is its own
+    // local so the loop keeps all four in registers.
+    let mut h1_low = PartialHash::new();
+    let mut h2_low = PartialHash::new();
+    let mut h1_high = PartialHash::new();
+    let mut h2_high = PartialHash::new();
+    let mut lower = LevelSigs::new();
+    let mut upper = LevelSigs::new();
+    let low_limit = trigger_limit(low);
+    for &byte in data {
+        let r = roll.update(byte);
+        h1_low.update(byte);
+        h2_low.update(byte);
+        h1_high.update(byte);
+        h2_high.update(byte);
+        if triggers(r, low, low_limit) {
+            // A multiple of 3 rules out `r == u32::MAX`, so `r` has a zero
+            // bit at or above `low` and the count stays within `low..32`.
+            let above = r.trailing_ones() - low;
+            lower.sig1.boundary(&mut h1_low);
+            if above >= 1 {
+                lower.sig2.boundary(&mut h2_low);
+                upper.sig1.boundary(&mut h1_high);
+            }
+            if above >= 2 {
+                upper.sig2.boundary(&mut h2_high);
+            }
+        }
+    }
     // Capture whatever is left in the final (possibly unterminated) chunk.
     if roll.value() != 0 || data.is_empty() {
-        sig1.push(base64::encode(h1.b64_index()));
-        sig2.push(base64::encode(h2.b64_index()));
+        lower.sig1.push(h1_low);
+        lower.sig2.push(h2_low);
+        upper.sig1.push(h1_high);
+        upper.sig2.push(h2_high);
     }
-    (sig1, sig2)
+    [lower, upper]
 }
 
 /// Compute the fuzzy hash of a byte slice.
 ///
-/// The block size starts at the estimate from
-/// [`initial_blocksize`] and is halved
-/// (re-hashing the input) while the primary signature comes out shorter than
-/// half the target length, exactly as the reference implementation does, so
-/// that small inputs still produce informative signatures.
+/// The block size is the largest `3 * 2^k` at or below the estimate from
+/// [`initial_blocksize`] whose primary signature reaches half the target
+/// length, or [`MIN_BLOCKSIZE`] when none does — the fixed point of the
+/// reference implementation's halving loop, so small inputs still produce
+/// informative signatures. One walk over the input chunks the estimate and
+/// the level below it together, which is where the rule almost always
+/// lands; only when both come out short does the next walk take the two
+/// levels below those.
+///
+/// [`initial_blocksize`]: crate::blocksize::initial_blocksize
+/// [`MIN_BLOCKSIZE`]: crate::blocksize::MIN_BLOCKSIZE
 ///
 /// # Examples
 ///
@@ -143,29 +249,53 @@ fn chunk_signatures(data: &[u8], block_size: u64) -> (String, String) {
 /// assert_eq!(text.matches(':').count(), 2);
 /// ```
 pub fn fuzzy_hash_bytes(data: &[u8]) -> FuzzyHash {
-    let mut block_size = initial_blocksize(data.len());
+    let mut top = initial_level(data.len());
     loop {
-        let (sig1, sig2) = chunk_signatures(data, block_size);
-        if sig1.len() < SPAM_SUM_LENGTH / 2 && block_size > MIN_BLOCKSIZE {
-            block_size /= 2;
-            continue;
+        // At level 0 the pair's upper level lies above `top` and is unused.
+        let low = top.saturating_sub(1);
+        let [lower, upper] = walk_pair(data, low);
+        if top > low && upper.sig1.len >= SPAM_SUM_LENGTH / 2 {
+            return upper.into_hash(top);
         }
-        return FuzzyHash {
-            block_size,
-            sig1,
-            sig2,
-        };
+        if lower.sig1.len >= SPAM_SUM_LENGTH / 2 || low == 0 {
+            return lower.into_hash(low);
+        }
+        top = low - 1;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::blocksize::{MIN_BLOCKSIZE, NUM_BLOCKHASHES};
 
     fn patterned(len: usize, stride: u8) -> Vec<u8> {
         (0..len)
             .map(|i| ((i as u64 * u64::from(stride) + i as u64 / 7) % 251) as u8)
             .collect()
+    }
+
+    #[test]
+    fn triggers_is_the_modulo_test() {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for level in 0..=NUM_BLOCKHASHES + 1 {
+            let bs = MIN_BLOCKSIZE << level;
+            let limit = trigger_limit(level);
+            let near_multiples = (0..64u64).flat_map(|q| [q * bs, (q + 1) * bs - 1, q * bs + 1]);
+            let edges = [0, 1, 2, u64::from(u32::MAX) - 1, u64::from(u32::MAX)];
+            let random = (0..2_000).map(|_| {
+                x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                x >> 32
+            });
+            for r in near_multiples.chain(edges).chain(random) {
+                let Ok(r) = u32::try_from(r) else { continue };
+                assert_eq!(
+                    triggers(r, level, limit),
+                    u64::from(r) % bs == bs - 1,
+                    "r {r} level {level}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -20,6 +20,8 @@ pub struct RollingHash {
     h2: u32,
     h3: u32,
     n: usize,
+    /// Window slot of the oldest byte, the one the next update replaces.
+    pos: usize,
 }
 
 impl Default for RollingHash {
@@ -37,6 +39,7 @@ impl RollingHash {
             h2: 0,
             h3: 0,
             n: 0,
+            pos: 0,
         }
     }
 
@@ -44,7 +47,7 @@ impl RollingHash {
     #[inline]
     pub fn update(&mut self, byte: u8) -> u32 {
         let b = u32::from(byte);
-        let dropped = u32::from(self.window[self.n % ROLLING_WINDOW]);
+        let dropped = u32::from(self.window[self.pos]);
 
         self.h2 = self.h2.wrapping_sub(self.h1);
         self.h2 = self.h2.wrapping_add(ROLLING_WINDOW as u32 * b);
@@ -52,7 +55,12 @@ impl RollingHash {
         self.h1 = self.h1.wrapping_add(b);
         self.h1 = self.h1.wrapping_sub(dropped);
 
-        self.window[self.n % ROLLING_WINDOW] = byte;
+        self.window[self.pos] = byte;
+        self.pos = if self.pos + 1 == ROLLING_WINDOW {
+            0
+        } else {
+            self.pos + 1
+        };
         self.n += 1;
 
         // h3 is a shift/xor over the window; it reacts quickly to the most

@@ -3,9 +3,12 @@
 //! `proptest` these tests drive the same properties with a seeded SplitMix64
 //! generator over a fixed number of cases.
 
+mod ctph_oracle;
+
+use ssdeep::blocksize::{blocksize_at, MIN_BLOCKSIZE};
 use ssdeep::{
     compare, compare_prepared, damerau_levenshtein, fuzzy_hash_bytes, levenshtein,
-    weighted_edit_distance, FuzzyHash, PreparedHash,
+    weighted_edit_distance, FuzzyHash, PreparedHash, SPAM_SUM_LENGTH,
 };
 
 /// SplitMix64 — the deterministic case generator for these tests.
@@ -38,6 +41,112 @@ impl Gen {
             .map(|_| ALPHABET[self.range(0, ALPHABET.len())] as char)
             .collect()
     }
+}
+
+/// Assert the one-walk chunker matches the pre-rewrite oracle on `data`,
+/// returning the oracle's pass count.
+fn assert_matches_oracle(data: &[u8], what: &str) -> u32 {
+    let (expected, passes) = ctph_oracle::fuzzy_hash_bytes_with_passes(data);
+    assert_eq!(
+        fuzzy_hash_bytes(data),
+        expected,
+        "{what} (len {})",
+        data.len()
+    );
+    passes
+}
+
+/// The one-walk chunker is byte-identical to the oracle on random inputs of
+/// random length.
+#[test]
+fn chunker_equals_oracle_on_random_inputs() {
+    let mut g = Gen(11);
+    for case in 0..96 {
+        let data = g.bytes(0, 40_000);
+        assert_matches_oracle(&data, &format!("random case {case}"));
+    }
+}
+
+/// Lengths one either side of every `3 * 64 * 2^k`, where the initial
+/// block-size estimate steps up a level, on random and on text-like bytes.
+#[test]
+fn chunker_equals_oracle_at_blocksize_boundaries() {
+    let mut g = Gen(12);
+    for k in 0..12 {
+        let edge = blocksize_at(k) as usize * SPAM_SUM_LENGTH;
+        for len in [edge - 1, edge, edge + 1] {
+            let random: Vec<u8> = (0..len).map(|_| g.next() as u8).collect();
+            assert_matches_oracle(&random, &format!("random, k {k}"));
+            let text: Vec<u8> = (0..len).map(|_| b' ' + (g.next() % 95) as u8).collect();
+            assert_matches_oracle(&text, &format!("text, k {k}"));
+        }
+    }
+}
+
+/// All-zero input keeps the rolling value at 0: no boundary ever triggers
+/// and no tail character is appended, so every level comes out empty and
+/// the block size falls all the way to the minimum.
+#[test]
+fn chunker_equals_oracle_on_all_zero_inputs() {
+    for len in [0, 1, 7, 191, 192, 193, 4_000, 70_000] {
+        let data = vec![0u8; len];
+        assert_matches_oracle(&data, "all zero");
+        let h = fuzzy_hash_bytes(&data);
+        assert_eq!(h.block_size(), MIN_BLOCKSIZE, "len {len}");
+        if len > 0 {
+            assert_eq!(h.signature(), "", "len {len}");
+        }
+    }
+}
+
+/// Constant and short-period inputs give the rolling hash a handful of
+/// values, so the primary signature stays short at the estimate and the
+/// level below it, forcing the walks below the first pair. At least one
+/// case must take more than two oracle passes, or the fallback went
+/// untested.
+#[test]
+fn chunker_equals_oracle_on_constant_and_periodic_inputs() {
+    let mut g = Gen(13);
+    let mut deepest = 0;
+    for period in 1..=24usize {
+        for len in [500, 5_000, 60_000] {
+            let pattern: Vec<u8> = (0..period).map(|_| g.next() as u8).collect();
+            let data: Vec<u8> = pattern.iter().copied().cycle().take(len).collect();
+            let passes = assert_matches_oracle(&data, &format!("period {period}"));
+            deepest = deepest.max(passes);
+        }
+    }
+    for byte in [1u8, 0x41, 0x90, 0xFF] {
+        let passes = assert_matches_oracle(&vec![byte; 30_000], &format!("constant {byte:#x}"));
+        deepest = deepest.max(passes);
+    }
+    assert!(deepest > 2, "no input reached the fallback walks");
+}
+
+/// The selection rule's edge: a primary signature of exactly half the
+/// target length is long enough. Random bytes followed by zeros fire
+/// boundaries only in the random prefix, so the prefix length steers the
+/// primary signature to about 32 characters at the estimate (chosen in one
+/// oracle pass) or at the level below it (two passes). Both must occur.
+#[test]
+fn chunker_equals_oracle_at_exactly_half_full_signatures() {
+    let mut g = Gen(14);
+    let mut exact_at = [0u32; 2];
+    for case in 0..400u32 {
+        let level = 2 + case % 5;
+        let bs = blocksize_at(level) as usize;
+        let below = case % 2;
+        // About 31 boundaries plus the tail character at the target level.
+        let center = 31 * (bs >> below);
+        let prefix = g.range(center - bs, center + bs);
+        let mut data: Vec<u8> = (0..prefix).map(|_| g.next() as u8).collect();
+        data.resize(bs * SPAM_SUM_LENGTH, 0);
+        let passes = assert_matches_oracle(&data, &format!("half full, case {case}"));
+        if fuzzy_hash_bytes(&data).signature().len() == SPAM_SUM_LENGTH / 2 && passes <= 2 {
+            exact_at[passes as usize - 1] += 1;
+        }
+    }
+    assert!(exact_at.iter().all(|&n| n > 0), "{exact_at:?}");
 }
 
 /// Hashing is deterministic and the textual form round-trips.
