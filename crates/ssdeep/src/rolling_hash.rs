@@ -19,7 +19,6 @@ pub struct RollingHash {
     h1: u32,
     h2: u32,
     h3: u32,
-    n: usize,
     /// Window slot of the oldest byte, the one the next update replaces.
     pos: usize,
 }
@@ -38,7 +37,6 @@ impl RollingHash {
             h1: 0,
             h2: 0,
             h3: 0,
-            n: 0,
             pos: 0,
         }
     }
@@ -61,7 +59,6 @@ impl RollingHash {
         } else {
             self.pos + 1
         };
-        self.n += 1;
 
         // h3 is a shift/xor over the window; it reacts quickly to the most
         // recent bytes and slowly forgets older ones.
@@ -74,11 +71,6 @@ impl RollingHash {
     #[inline]
     pub fn value(&self) -> u32 {
         self.h1.wrapping_add(self.h2).wrapping_add(self.h3)
-    }
-
-    /// Number of bytes consumed so far.
-    pub fn bytes_seen(&self) -> usize {
-        self.n
     }
 }
 
@@ -100,7 +92,7 @@ mod tests {
     fn empty_state_is_zero() {
         let rh = RollingHash::new();
         assert_eq!(rh.value(), 0);
-        assert_eq!(rh.bytes_seen(), 0);
+        assert_eq!(rh.pos, 0);
     }
 
     #[test]
@@ -133,7 +125,7 @@ mod tests {
         let v1 = rh.update(1);
         let v2 = rh.update(2);
         assert_ne!(v1, v2);
-        assert_eq!(rh.bytes_seen(), 2);
+        assert_eq!(rh.pos, 2);
     }
 
     #[test]
@@ -142,7 +134,8 @@ mod tests {
         for i in 0..(ROLLING_WINDOW * 3) {
             rh.update((i % 251) as u8);
         }
-        assert_eq!(rh.bytes_seen(), ROLLING_WINDOW * 3);
+        // Three full windows bring the oldest-byte slot back to the start.
+        assert_eq!(rh.pos, 0);
         // h1 equals the sum of the last ROLLING_WINDOW bytes.
         let expected: u32 = ((ROLLING_WINDOW * 2)..(ROLLING_WINDOW * 3))
             .map(|i| (i % 251) as u32)
