@@ -52,14 +52,26 @@ pub fn extract_strings(data: &[u8], min_len: usize) -> Vec<String> {
 ///
 /// Byte-identical to joining [`extract_strings`] with newlines, without a
 /// `String` per run: the scan classifies 64 bytes at a time into a
-/// printability bitmask, finds where runs start and end with
-/// `trailing_zeros`, and copies each run that is long enough straight into
-/// the output (printable ASCII is already UTF-8).
+/// printability bitmask and copies each run that is long enough straight
+/// into the output (printable ASCII is already UTF-8).
+///
+/// In machine code, printable and non-printable bytes alternate every few
+/// bytes, so stepping from one run edge to the next would cost a loop
+/// iteration per short run. Instead a shift-AND over the mask (with the
+/// previous block's mask carried in) marks every byte that ends
+/// `min(min_len, 4)` printable bytes in a row, and the scan visits only
+/// runs holding such a mark — the only runs that can reach `min_len`. A
+/// marked run starts just past the last non-printable byte before its
+/// mark, which the scan tracks across blocks, and ends at the next one.
 pub fn strings_blob(data: &[u8], min_len: usize) -> Vec<u8> {
     let min_len = min_len.max(1);
+    let window = min_len.min(4);
     let mut out = Vec::new();
-    // Start of the run in progress, if the previous byte was printable.
-    let mut run_start = None;
+    // Index just past the last non-printable byte of the blocks before.
+    let mut run_from = 0;
+    // Start of a marked run that has not ended yet.
+    let mut open = None;
+    let mut prev_mask = 0;
     let mut emit = |start: usize, end: usize| {
         if end - start >= min_len {
             out.extend_from_slice(&data[start..end]);
@@ -69,41 +81,75 @@ pub fn strings_blob(data: &[u8], min_len: usize) -> Vec<u8> {
     for (index, block) in data.chunks(64).enumerate() {
         let base = index * 64;
         let mask = printable_mask(block);
+        // Bytes that end a run; past the end of a short last block every
+        // bit is set, so a run reaching the end of `data` ends there.
+        let stops = !mask;
+        let marks = run_ends(mask, prev_mask, window);
         let mut pos = 0;
         loop {
-            // Bits from `pos` on that end the current state: a
-            // non-printable byte inside a run, a printable one outside.
-            let rest = match run_start {
-                Some(_) => !mask,
-                None => mask,
-            }
-            .checked_shr(pos)
-            .unwrap_or(0);
+            let start = match open.take() {
+                Some(start) => start,
+                None => {
+                    let rest = marks.checked_shr(pos).unwrap_or(0);
+                    if rest == 0 {
+                        break;
+                    }
+                    pos += rest.trailing_zeros();
+                    match stops & !(u64::MAX << pos) {
+                        0 => run_from,
+                        below => base + 64 - below.leading_zeros() as usize,
+                    }
+                }
+            };
+            let rest = stops.checked_shr(pos).unwrap_or(0);
             if rest == 0 {
+                open = Some(start);
                 break;
             }
             pos += rest.trailing_zeros();
-            let at = base + pos as usize;
-            match run_start.take() {
-                Some(start) => emit(start, at),
-                None => run_start = Some(at),
-            }
+            emit(start, base + pos as usize);
+            pos += 1;
         }
+        if stops != 0 {
+            run_from = base + 64 - stops.leading_zeros() as usize;
+        }
+        prev_mask = mask;
     }
-    if let Some(start) = run_start {
+    if let Some(start) = open {
         emit(start, data.len());
     }
     out
+}
+
+/// The bits of `mask` that end `window` (1 to 4) set bits in a row,
+/// counting the top bits of `prev`, the mask of the block before, as lying
+/// just below bit 0.
+#[inline]
+fn run_ends(mask: u64, prev: u64, window: usize) -> u64 {
+    let mut ends = mask;
+    for shift in 1..window {
+        ends &= (mask << shift) | (prev >> (64 - shift));
+    }
+    ends
 }
 
 /// One bit per byte of `block` (at most 64 bytes), set where the byte is
 /// [printable](is_printable). Bits past the end of a short block are clear.
 fn printable_mask(block: &[u8]) -> u64 {
     let mut mask = 0;
-    for (i, word) in block.chunks(8).enumerate() {
+    let mut words = block.chunks_exact(8);
+    let mut shift = 0;
+    for word in &mut words {
         let mut bytes = [0u8; 8];
-        bytes[..word.len()].copy_from_slice(word);
-        mask |= printable_bits(u64::from_le_bytes(bytes)) << (8 * i);
+        bytes.copy_from_slice(word);
+        mask |= printable_bits(u64::from_le_bytes(bytes)) << shift;
+        shift += 8;
+    }
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut bytes = [0u8; 8];
+        bytes[..tail.len()].copy_from_slice(tail);
+        mask |= printable_bits(u64::from_le_bytes(bytes)) << shift;
     }
     mask
 }
@@ -202,6 +248,19 @@ mod tests {
             printable_bits(u64::from_le_bytes(*b"ab\tc\x7f\x80 ~")),
             0b1100_1111
         );
+    }
+
+    #[test]
+    fn run_ends_marks_windows_across_the_block_edge() {
+        let mask = 0b1110_0111u64;
+        assert_eq!(run_ends(mask, 0, 1), mask);
+        assert_eq!(run_ends(mask, 0, 2), 0b1100_0110);
+        assert_eq!(run_ends(mask, 0, 3), 0b1000_0100);
+        assert_eq!(run_ends(mask, 0, 4), 0);
+        // Three printable bytes at the end of the previous block complete
+        // a window of four at bit 0 and extend the run through bit 2.
+        assert_eq!(run_ends(mask, 0b111 << 61, 4), 0b111);
+        assert_eq!(run_ends(mask, 0b11 << 62, 4), 0b110);
     }
 
     #[test]

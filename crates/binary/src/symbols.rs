@@ -61,13 +61,7 @@ pub fn global_defined_symbols(elf: &ElfFile) -> Vec<NmSymbol> {
     let mut out: Vec<NmSymbol> = elf
         .symbols()
         .iter()
-        .filter(|s| {
-            s.is_defined()
-                && s.is_global()
-                && !s.name.is_empty()
-                && s.sym_type != SymbolType::Section
-                && s.sym_type != SymbolType::File
-        })
+        .filter(|s| is_global_defined(s))
         .map(|s| NmSymbol {
             name: s.name.clone(),
             class: symbol_class(elf, s),
@@ -76,6 +70,16 @@ pub fn global_defined_symbols(elf: &ElfFile) -> Vec<NmSymbol> {
         .collect();
     out.sort_by(|a, b| a.name.cmp(&b.name));
     out
+}
+
+/// Whether `nm -g --defined-only` lists `sym`: a defined global with a
+/// name, not a section or file pseudo-symbol.
+fn is_global_defined(sym: &Symbol) -> bool {
+    sym.is_defined()
+        && sym.is_global()
+        && !sym.name.is_empty()
+        && sym.sym_type != SymbolType::Section
+        && sym.sym_type != SymbolType::File
 }
 
 /// Only the *text* (code) symbols among the defined globals — functions the
@@ -91,10 +95,20 @@ pub fn global_text_symbols(elf: &ElfFile) -> Vec<NmSymbol> {
 /// The newline-joined global symbol names — the byte stream the
 /// `ssdeep-symbols` feature hashes (equivalent to
 /// `nm -g --defined-only binary | awk '{print $3}' | ssdeep`).
+///
+/// The same names in the same order as [`global_defined_symbols`], sorted
+/// as borrowed `&str` — no owned copy of a name and no class letter.
 pub fn symbols_blob(elf: &ElfFile) -> Vec<u8> {
-    let mut out = Vec::new();
-    for s in global_defined_symbols(elf) {
-        out.extend_from_slice(s.name.as_bytes());
+    let mut names: Vec<&str> = elf
+        .symbols()
+        .iter()
+        .filter(|s| is_global_defined(s))
+        .map(|s| s.name.as_str())
+        .collect();
+    names.sort_unstable();
+    let mut out = Vec::with_capacity(names.iter().map(|name| name.len() + 1).sum());
+    for name in names {
+        out.extend_from_slice(name.as_bytes());
         out.push(b'\n');
     }
     out

@@ -140,19 +140,29 @@ fn extracted_strings_are_printable_substrings() {
 /// The strings blob decomposes back into exactly the extracted runs: the
 /// bitmask scan in `strings_blob` is byte-identical to joining
 /// `extract_strings` with newlines, for every minimum length the scan
-/// treats differently (0 acts as 1; 64 is a whole mask block). Inputs mix
+/// treats differently (0 acts as 1; up to 4 the long-run marks alone decide
+/// a run, above 4 they only prefilter; 64 is a whole mask block and 65 and
+/// 200 need several). Inputs mix
 /// uniform random bytes, 7-bit bytes (about three quarters printable),
 /// printable text with sparse NULs (runs that span several 64-byte mask
 /// blocks) and the bytes at the edges of the printable range, at lengths
-/// around every block multiple.
+/// around every block multiple; then runs placed across every block edge.
 #[test]
 fn blob_matches_runs() {
     let mut g = Gen(16);
-    let joined = |data: &[u8], min_len: usize| -> Vec<u8> {
-        extract_strings(data, min_len)
-            .iter()
-            .flat_map(|run| run.bytes().chain([b'\n']))
-            .collect()
+    let check = |data: &[u8], what: &str| {
+        for min_len in [0, 1, 2, 3, 4, 5, 8, 64, 65, 200] {
+            let joined: Vec<u8> = extract_strings(data, min_len)
+                .iter()
+                .flat_map(|run| run.bytes().chain([b'\n']))
+                .collect();
+            assert_eq!(
+                strings_blob(data, min_len),
+                joined,
+                "{what}, len {}, min_len {min_len}",
+                data.len()
+            );
+        }
     };
     for case in 0..192 {
         let len = match case % 3 {
@@ -171,13 +181,62 @@ fn blob_matches_runs() {
                 }
             })
             .collect();
-        for min_len in [0, 1, 4, 64] {
-            assert_eq!(
-                strings_blob(&data, min_len),
-                joined(&data, min_len),
-                "case {case}, len {len}, min_len {min_len}"
-            );
+        check(&data, &format!("case {case}"));
+    }
+    // Runs straddling every block edge with one to three printable bytes
+    // before it, where a run's first mark depends on the previous block's
+    // mask and its start lies in the block before the mark. The background
+    // is non-printable, so every run is one placed here.
+    for case in 0..96 {
+        let blocks = g.range(2, 9);
+        let mut data: Vec<u8> = (0..64 * blocks + g.range(0, 64))
+            .map(|_| [0, 0x7F, 0x80, 0xFF, b'\n'][g.range(0, 5)])
+            .collect();
+        let before = 1 + case % 3;
+        let mut edge = 64;
+        while edge < data.len() {
+            let start = edge - before;
+            let run = match case % 4 {
+                0 => g.range(before, before + 4),
+                1 => g.range(before, before + 12),
+                2 => g.range(60, 260),
+                _ => g.range(before, 80),
+            };
+            let end = (start + run).min(data.len());
+            for byte in &mut data[start..end] {
+                *byte = b' ' + (g.next() % 95) as u8;
+            }
+            // The next run starts at least two background bytes later.
+            edge = (edge + 64).max(end + 2 + before).next_multiple_of(64);
         }
+        check(&data, &format!("straddling case {case}"));
+    }
+}
+
+/// The symbols blob is the `global_defined_symbols` names joined with
+/// newlines, byte for byte, with local and undefined symbols mixed in.
+#[test]
+fn symbols_blob_equals_global_defined_join() {
+    let mut g = Gen(18);
+    for _ in 0..48 {
+        let names: Vec<String> = g.identifiers(0, 40).into_iter().collect();
+        let mut b = ElfBuilder::new();
+        b.add_text_section(vec![0x90; 1024]);
+        b.add_data_section(vec![0; 256]);
+        for (i, name) in names.iter().enumerate() {
+            match g.range(0, 4) {
+                0 => b.add_global_function(name, (i * 8) as u64 % 1024, 8),
+                1 => b.add_global_object(name, (i * 4) as u64 % 256, 4),
+                2 => b.add_local_function(name, (i * 8) as u64 % 1024, 8),
+                _ => b.add_undefined_symbol(name),
+            };
+        }
+        let elf = ElfFile::parse(&b.build()).unwrap();
+        let expected: Vec<u8> = global_defined_symbols(&elf)
+            .iter()
+            .flat_map(|s| s.name.bytes().chain([b'\n']))
+            .collect();
+        assert_eq!(symbols_blob(&elf), expected);
     }
 }
 

@@ -7,6 +7,16 @@
 //! mapped through the base64 alphabet, so the hash does not need to be
 //! cryptographically strong — it only needs to spread nearby inputs across
 //! the 64 possible characters.
+//!
+//! Because only those six bits reach a signature, the generator does not
+//! carry full 32-bit hashes. The low six bits of `h * FNV_PRIME ^ b` depend
+//! only on the low six bits of `h`, of `FNV_PRIME` (19) and of `b`, which
+//! is why libfuzzy's `fuzzy.c` replaces this hash with a 64×64 `sum_table`.
+//! [`fuzzy_hash_bytes`](crate::fuzzy_hash_bytes) goes one step further: it
+//! keeps the four chunk hashes of a walk as six-bit values in the 16-bit
+//! lanes of one `u64`, and advances all four with one multiply by 19, one
+//! xor and one mask per byte. [`PartialHash`] stays the full 32-bit form
+//! and the reference for that reduction.
 
 /// FNV-1 32-bit prime.
 pub const FNV_PRIME: u32 = 0x0100_0193;
@@ -15,7 +25,7 @@ pub const HASH_INIT: u32 = 0x2802_1967;
 
 /// Incremental FNV-style chunk hash.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PartialHash(u32);
+pub struct PartialHash(pub(crate) u32);
 
 impl Default for PartialHash {
     fn default() -> Self {

@@ -9,8 +9,8 @@
 use crate::base64;
 use crate::blocksize::{blocksize_at, comparable, initial_level};
 use crate::error::ParseError;
-use crate::fnv::PartialHash;
-use crate::rolling_hash::RollingHash;
+use crate::fnv::{FNV_PRIME, HASH_INIT};
+use crate::rolling_hash::{RollingHash, ROLLING_WINDOW};
 use std::fmt;
 use std::str::FromStr;
 
@@ -89,6 +89,63 @@ impl FromStr for FuzzyHash {
     }
 }
 
+/// The four chunk hashes of one walk — `sig1` and `sig2` at two adjacent
+/// block-size levels — reduced to their low six bits, one per 16-bit lane
+/// of a `u64`.
+///
+/// A signature character is the low six bits of a chunk's FNV hash, and the
+/// low six bits of `h * FNV_PRIME ^ b` depend only on those of `h`, of
+/// `FNV_PRIME` (19) and of `b`. So each lane keeps `h mod 64`; one multiply
+/// by 19, an xor with the byte in every lane and a mask advance all four
+/// (`63 * 19 < 2^16`, so no product carries into the next lane). This is
+/// the reduction behind libfuzzy's 64×64 `sum_table`.
+#[derive(Clone, Copy)]
+struct ChunkLanes(u64);
+
+impl ChunkLanes {
+    /// A one in every lane.
+    const ONES: u64 = 0x0001_0001_0001_0001;
+    /// The six hash bits of every lane.
+    const MASK: u64 = 0x3F * Self::ONES;
+    /// `FNV_PRIME` reduced to the six bits a lane keeps.
+    const PRIME: u64 = (FNV_PRIME & 0x3F) as u64;
+    /// A fresh chunk hash, reduced.
+    const INIT: u64 = (HASH_INIT & 0x3F) as u64;
+    /// `SPLAT[b]` holds `b` in every lane; the two bits above a lane's six
+    /// fall to the mask.
+    const SPLAT: [u64; 256] = {
+        let mut table = [0; 256];
+        let mut b = 0;
+        while b < 256 {
+            table[b] = b as u64 * Self::ONES;
+            b += 1;
+        }
+        table
+    };
+
+    fn new() -> Self {
+        Self(Self::INIT * Self::ONES)
+    }
+
+    /// Mix `byte` into all four chunk hashes.
+    #[inline]
+    fn update(&mut self, byte: u8) {
+        self.0 = (self.0.wrapping_mul(Self::PRIME) ^ Self::SPLAT[usize::from(byte)]) & Self::MASK;
+    }
+
+    /// The base64 index of the chunk hash in `lane`.
+    #[inline]
+    fn b64_index(self, lane: u32) -> usize {
+        ((self.0 >> (16 * lane)) & 0x3F) as usize
+    }
+
+    /// Start a fresh chunk hash in `lane`.
+    #[inline]
+    fn reset(&mut self, lane: u32) {
+        self.0 = (self.0 & !(0x3F << (16 * lane))) | (Self::INIT << (16 * lane));
+    }
+}
+
 /// A signature under construction: one base64 character per finished
 /// chunk, at most `CAP`.
 struct Sig<const CAP: usize> {
@@ -104,19 +161,19 @@ impl<const CAP: usize> Sig<CAP> {
         }
     }
 
-    fn push(&mut self, chunk: PartialHash) {
-        self.chars[self.len] = base64::B64[chunk.b64_index()];
+    fn push(&mut self, b64_index: usize) {
+        self.chars[self.len] = base64::B64[b64_index];
         self.len += 1;
     }
 
-    /// A chunk boundary: emit the chunk hashed so far in `chunk` and start
+    /// A chunk boundary: emit the chunk hashed so far in `lane` and start
     /// the next one — unless only the tail character's slot is left, in
     /// which case the chunk keeps growing to the end of the input.
     #[inline]
-    fn boundary(&mut self, chunk: &mut PartialHash) {
+    fn boundary(&mut self, lanes: &mut ChunkLanes, lane: u32) {
         if self.len < CAP - 1 {
-            self.push(*chunk);
-            *chunk = PartialHash::new();
+            self.push(lanes.b64_index(lane));
+            lanes.reset(lane);
         }
     }
 
@@ -179,47 +236,56 @@ fn triggers(r: u32, level: u32, limit: u64) -> bool {
 /// Chunk `data` at block-size levels `low` and `low + 1` in one walk.
 ///
 /// Every byte pays the cheapest boundary test, for `sig1` at `low`, which
-/// fires about once per `3 * 2^low` bytes. Behind it, the count of `r`'s
-/// trailing ones (the trailing zeros of `r + 1`) says which of the coarser
-/// triggers — `sig2` at `low`, `sig1` at `low + 1`, `sig2` at `low + 1` —
-/// fire as well.
+/// fires about once per `3 * 2^low` bytes: a mask test that `r + 1` is a
+/// multiple of `2^low` rules out all but one byte in `2^low` before
+/// [`triggers`] checks the factor 3. Behind it, the count of `r`'s trailing
+/// ones (the trailing zeros of `r + 1`) says which of the coarser triggers
+/// — `sig2` at `low`, `sig1` at `low + 1`, `sig2` at `low + 1` — fire as
+/// well.
 fn walk_pair(data: &[u8], low: u32) -> [LevelSigs; 2] {
+    // Lanes of the chunk hashes: sig1 and sig2 at `low`, then at `low + 1`.
+    const LOW1: u32 = 0;
+    const LOW2: u32 = 1;
+    const HIGH1: u32 = 2;
+    const HIGH2: u32 = 3;
     let mut roll = RollingHash::new();
-    // Chunk hashes of sig1/sig2 at `low` and at `low + 1`; each is its own
-    // local so the loop keeps all four in registers.
-    let mut h1_low = PartialHash::new();
-    let mut h2_low = PartialHash::new();
-    let mut h1_high = PartialHash::new();
-    let mut h2_high = PartialHash::new();
+    let mut lanes = ChunkLanes::new();
     let mut lower = LevelSigs::new();
     let mut upper = LevelSigs::new();
     let low_limit = trigger_limit(low);
-    for &byte in data {
-        let r = roll.update(byte);
-        h1_low.update(byte);
-        h2_low.update(byte);
-        h1_high.update(byte);
-        h2_high.update(byte);
-        if triggers(r, low, low_limit) {
+    let low_mask = (1u32 << low) - 1;
+    let mut step = |byte: u8, dropped: u8| {
+        let r = roll.step(byte, dropped);
+        lanes.update(byte);
+        if r.wrapping_add(1) & low_mask == 0 && triggers(r, low, low_limit) {
             // A multiple of 3 rules out `r == u32::MAX`, so `r` has a zero
             // bit at or above `low` and the count stays within `low..32`.
             let above = r.trailing_ones() - low;
-            lower.sig1.boundary(&mut h1_low);
+            lower.sig1.boundary(&mut lanes, LOW1);
             if above >= 1 {
-                lower.sig2.boundary(&mut h2_low);
-                upper.sig1.boundary(&mut h1_high);
+                lower.sig2.boundary(&mut lanes, LOW2);
+                upper.sig1.boundary(&mut lanes, HIGH1);
             }
             if above >= 2 {
-                upper.sig2.boundary(&mut h2_high);
+                upper.sig2.boundary(&mut lanes, HIGH2);
             }
         }
+    };
+    // The byte leaving the rolling window comes from the input itself; it
+    // is 0 until the window has filled.
+    let head = data.len().min(ROLLING_WINDOW);
+    for &byte in &data[..head] {
+        step(byte, 0);
+    }
+    for (&byte, &dropped) in data[head..].iter().zip(data) {
+        step(byte, dropped);
     }
     // Capture whatever is left in the final (possibly unterminated) chunk.
     if roll.value() != 0 || data.is_empty() {
-        lower.sig1.push(h1_low);
-        lower.sig2.push(h2_low);
-        upper.sig1.push(h1_high);
-        upper.sig2.push(h2_high);
+        lower.sig1.push(lanes.b64_index(LOW1));
+        lower.sig2.push(lanes.b64_index(LOW2));
+        upper.sig1.push(lanes.b64_index(HIGH1));
+        upper.sig2.push(lanes.b64_index(HIGH2));
     }
     [lower, upper]
 }
@@ -234,6 +300,16 @@ fn walk_pair(data: &[u8], low: u32) -> [LevelSigs; 2] {
 /// the level below it together, which is where the rule almost always
 /// lands; only when both come out short does the next walk take the two
 /// levels below those.
+///
+/// Per byte the walk updates the rolling hash, reading the byte that
+/// leaves its window from `data` rather than from a ring buffer, and the
+/// four chunk hashes behind the two levels' signatures. Only the low six
+/// bits of a chunk hash ever reach a signature (libfuzzy's `sum_table`
+/// rests on the same fact), so the four are kept as six-bit values in the
+/// 16-bit lanes of one `u64` and one multiply, xor and mask advance them
+/// all. A mask test on the rolling value rules out most bytes before the
+/// full boundary test. The output is the same as chunking each block size
+/// separately with 32-bit FNV hashes.
 ///
 /// [`initial_blocksize`]: crate::blocksize::initial_blocksize
 /// [`MIN_BLOCKSIZE`]: crate::blocksize::MIN_BLOCKSIZE
@@ -294,6 +370,63 @@ mod tests {
                     u64::from(r) % bs == bs - 1,
                     "r {r} level {level}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn lane_update_is_the_low_six_bits_of_the_chunk_hash() {
+        use crate::fnv::PartialHash;
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut high_bits = || {
+            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            (x >> 32) as u32 & !0x3F
+        };
+        for state in 0..64u32 {
+            for byte in 0..=255u8 {
+                // A different reduced state in every lane, each the low six
+                // bits of a chunk hash with random high bits.
+                let hashes: [PartialHash; 4] = std::array::from_fn(|lane| {
+                    PartialHash(((state + 17 * lane as u32) % 64) | high_bits())
+                });
+                let mut lanes = ChunkLanes(
+                    hashes
+                        .iter()
+                        .enumerate()
+                        .map(|(lane, h)| (h.b64_index() as u64) << (16 * lane))
+                        .sum(),
+                );
+                lanes.update(byte);
+                for (lane, mut hash) in hashes.into_iter().enumerate() {
+                    hash.update(byte);
+                    assert_eq!(
+                        lanes.b64_index(lane as u32),
+                        hash.b64_index(),
+                        "state {state} byte {byte} lane {lane}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lane_reset_starts_one_chunk_hash_afresh() {
+        use crate::fnv::PartialHash;
+        let mut lanes = ChunkLanes::new();
+        for byte in *b"context" {
+            lanes.update(byte);
+        }
+        let before = lanes;
+        for lane in 0..4 {
+            let mut reset = before;
+            reset.reset(lane);
+            for other in 0..4 {
+                let expected = if other == lane {
+                    PartialHash::new().b64_index()
+                } else {
+                    before.b64_index(other)
+                };
+                assert_eq!(reset.b64_index(other), expected, "reset {lane}");
             }
         }
     }

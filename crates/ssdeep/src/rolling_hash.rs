@@ -7,6 +7,12 @@
 //! recent content, inserting or deleting bytes early in a file does not shift
 //! every later boundary — which is exactly the property that makes the final
 //! signatures of two similar files comparable.
+//!
+//! [`RollingHash`] keeps its own copy of the window, so it can be fed one
+//! byte at a time. The generator in [`crate::generate`] has the whole input
+//! in hand, so it does not keep the ring buffer: it reads the byte leaving
+//! the window straight from the input (`data[i - 7]`, or 0 for the first
+//! seven bytes) and hands it to the same arithmetic, `RollingHash::step`.
 
 /// Number of bytes the rolling hash looks back over.
 pub const ROLLING_WINDOW: usize = 7;
@@ -44,21 +50,29 @@ impl RollingHash {
     /// Feed one byte and return the updated hash value.
     #[inline]
     pub fn update(&mut self, byte: u8) -> u32 {
-        let b = u32::from(byte);
-        let dropped = u32::from(self.window[self.pos]);
-
-        self.h2 = self.h2.wrapping_sub(self.h1);
-        self.h2 = self.h2.wrapping_add(ROLLING_WINDOW as u32 * b);
-
-        self.h1 = self.h1.wrapping_add(b);
-        self.h1 = self.h1.wrapping_sub(dropped);
-
+        let dropped = self.window[self.pos];
         self.window[self.pos] = byte;
         self.pos = if self.pos + 1 == ROLLING_WINDOW {
             0
         } else {
             self.pos + 1
         };
+        self.step(byte, dropped)
+    }
+
+    /// Feed `byte` while `dropped`, the byte fed [`ROLLING_WINDOW`] updates
+    /// earlier (0 before that many), leaves the window, and return the
+    /// updated hash value. The window copy is neither read nor written: a
+    /// caller that holds the input reads `dropped` from it instead.
+    #[inline]
+    pub(crate) fn step(&mut self, byte: u8, dropped: u8) -> u32 {
+        let b = u32::from(byte);
+
+        self.h2 = self.h2.wrapping_sub(self.h1);
+        self.h2 = self.h2.wrapping_add(ROLLING_WINDOW as u32 * b);
+
+        self.h1 = self.h1.wrapping_add(b);
+        self.h1 = self.h1.wrapping_sub(u32::from(dropped));
 
         // h3 is a shift/xor over the window; it reacts quickly to the most
         // recent bytes and slowly forgets older ones.
@@ -126,6 +140,21 @@ mod tests {
         let v2 = rh.update(2);
         assert_ne!(v1, v2);
         assert_eq!(rh.pos, 2);
+    }
+
+    #[test]
+    fn step_with_the_dropped_byte_matches_update() {
+        let data: Vec<u8> = (0..200u32).map(|i| (i * 37 % 256) as u8).collect();
+        let mut windowed = RollingHash::new();
+        let mut stepped = RollingHash::new();
+        for (i, &byte) in data.iter().enumerate() {
+            let dropped = i.checked_sub(ROLLING_WINDOW).map_or(0, |j| data[j]);
+            assert_eq!(
+                stepped.step(byte, dropped),
+                windowed.update(byte),
+                "byte {i}"
+            );
+        }
     }
 
     #[test]

@@ -6,6 +6,7 @@
 mod ctph_oracle;
 
 use ssdeep::blocksize::{blocksize_at, MIN_BLOCKSIZE};
+use ssdeep::rolling_hash::{RollingHash, ROLLING_WINDOW};
 use ssdeep::{
     compare, compare_prepared, damerau_levenshtein, fuzzy_hash_bytes, levenshtein,
     weighted_edit_distance, FuzzyHash, PreparedHash, SPAM_SUM_LENGTH,
@@ -147,6 +148,71 @@ fn chunker_equals_oracle_at_exactly_half_full_signatures() {
         }
     }
     assert!(exact_at.iter().all(|&n| n > 0), "{exact_at:?}");
+}
+
+/// Every length from 0 to 16, so inputs shorter than the rolling window and
+/// boundaries inside its first seven bytes — where the byte leaving the
+/// window is the implicit 0, not an input byte — are compared against the
+/// oracle. At these lengths the block size is 3, so many random inputs of
+/// each length trigger early; the test checks that some did.
+#[test]
+fn chunker_equals_oracle_on_inputs_up_to_sixteen_bytes() {
+    let mut g = Gen(15);
+    let mut early_triggers = 0;
+    for len in 0..=16 {
+        for case in 0..64 {
+            let data: Vec<u8> = (0..len).map(|_| g.next() as u8).collect();
+            assert_matches_oracle(&data, &format!("short case {case}"));
+            let mut roll = RollingHash::new();
+            early_triggers += data
+                .iter()
+                .take(ROLLING_WINDOW)
+                .filter(|&&byte| roll.update(byte) % 3 == 2)
+                .count();
+        }
+    }
+    assert!(early_triggers > 0, "no boundary inside the first window");
+}
+
+/// Inputs where all four chunk hashes of a walk reach their signature cap
+/// (63 and 31 boundaries) long before the end, so each keeps growing into
+/// the tail character. A periodic input repeats its rolling value every
+/// period; a pattern whose value at some phase is `-1` modulo the coarsest
+/// trigger of the walk fires all four boundaries once per period.
+#[test]
+fn chunker_equals_oracle_when_every_lane_hits_its_cap() {
+    let mut g = Gen(16);
+    let mut capped = 0;
+    for top in 1..=6u32 {
+        let coarsest = 2 * blocksize_at(top);
+        let len = blocksize_at(top) as usize * SPAM_SUM_LENGTH;
+        for _ in 0..4_000 {
+            let period = g.range(ROLLING_WINDOW, 17);
+            let pattern: Vec<u8> = (0..period).map(|_| g.next() as u8).collect();
+            let mut roll = RollingHash::new();
+            // One period's rolling values, once the window holds only
+            // pattern bytes.
+            let fires = pattern
+                .iter()
+                .cycle()
+                .take(period + ROLLING_WINDOW)
+                .map(|&byte| u64::from(roll.update(byte)))
+                .skip(ROLLING_WINDOW)
+                .any(|r| r % coarsest == coarsest - 1);
+            if !fires || len / period < 2 * SPAM_SUM_LENGTH {
+                continue;
+            }
+            let data: Vec<u8> = pattern.iter().copied().cycle().take(len).collect();
+            assert_matches_oracle(&data, &format!("capped, top {top}, period {period}"));
+            let h = fuzzy_hash_bytes(&data);
+            assert_eq!(h.block_size(), blocksize_at(top));
+            assert_eq!(h.signature().len(), SPAM_SUM_LENGTH);
+            assert_eq!(h.signature_double().len(), SPAM_SUM_LENGTH / 2);
+            capped += 1;
+            break;
+        }
+    }
+    assert!(capped >= 4, "only {capped} capped inputs found");
 }
 
 /// Hashing is deterministic and the textual form round-trips.
